@@ -3,9 +3,10 @@
 
 Times SM(q1), 4-clique, and FPM end-to-end on GAMMA under both hot-path
 pipelines (see :mod:`repro.perf`), verifies the simulated results are
-bit-for-bit identical, and writes ``BENCH_hotpath.json`` at the repo root —
-the perf trajectory that ``tools/perf_report.py`` renders and diffs.  The
-previous run's figures (if any) are diffed inline.
+bit-for-bit identical (exit 1 when they diverge), and writes
+``BENCH_hotpath.json`` at the repo root — the perf trajectory.  The
+previous run's figures (if any) are diffed inline, and each workload's
+manifest is gated with ``repro report BENCH_hotpath.json --against OLD``.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_hotpath.py            # full

@@ -28,8 +28,9 @@ single-run test and break only across processes, hash seeds, or resumes:
 
 Scope: ``det-order`` everywhere in the package; ``det-float`` in the
 accounting scopes (:data:`FLOAT_SCOPES`); ``det-seed`` in the engine
-scopes.  Wall-clock profilers (PhaseTimer) waive ``det-seed`` with a
-reason — the *host* clock is their subject matter.
+scopes.  Wall-clock profiling lives outside the engine scopes (the
+CLI's ``--profile`` stamps, span wall times), so ``det-seed`` never sees
+it — the *host* clock is its subject matter.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import time
 from typing import Sequence
 
 from .algorithms import (
@@ -161,17 +162,23 @@ def _build_parser() -> argparse.ArgumentParser:
                               "via `repro run --plan PATH`)")
 
     report = sub.add_parser(
-        "report", help="summarize a run manifest, optionally diffing it "
-                       "against a baseline manifest")
+        "report", help="summarize a run manifest, optionally gating it "
+                       "against a baseline (exit 0 ok, 1 regressions, "
+                       "2 no candidate manifest)")
     report.add_argument("manifest", help="manifest JSON written by "
-                                         "`repro run --manifest-out`")
+                                         "`repro run --manifest-out`, or a "
+                                         "bench report whose workloads "
+                                         "carry manifests")
     report.add_argument("--against", metavar="BASELINE",
-                        help="baseline manifest; exit 1 on regressions")
+                        help="baseline manifest or bench report; manifests "
+                             "are matched by (system, dataset, task)")
     report.add_argument("--counter-threshold", type=float, default=0.10,
                         help="relative counter growth tolerated (default 0.10)")
     report.add_argument("--time-threshold", type=float, default=0.05,
                         help="relative simulated-time drift tolerated "
                              "(default 0.05)")
+    report.add_argument("--warn-only", action="store_true",
+                        help="report regressions but exit 0 (CI soft-launch)")
 
     perf = sub.add_parser(
         "perf-report",
@@ -326,11 +333,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"{'/'.join(_PLANNABLE_TASKS)} runs, not {args.task}",
               file=sys.stderr)
         return 2
-    from .gpusim.trace import PhaseTimer
-
-    timer = PhaseTimer()
-    with timer.phase("load-dataset"):
-        graph = datasets.load(args.dataset)
+    # (phase, wall seconds) rows for --profile.
+    phases = []
+    start = time.perf_counter()
+    graph = datasets.load(args.dataset)
+    phases.append(("load-dataset", time.perf_counter() - start))
     print(f"{args.dataset}: {graph.num_vertices} vertices, "
           f"{graph.num_edges} edges (stand-in; see DESIGN.md)")
     collector = None
@@ -347,29 +354,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"--gpus needs the GAMMA engine, not {args.system}",
               file=sys.stderr)
         return 2
-    with timer.phase("build-engine"):
-        if sharded:
-            from .gpusim.spec import InterconnectSpec
-            from .shard import ShardedGamma
+    start = time.perf_counter()
+    if sharded:
+        from .gpusim.spec import InterconnectSpec
+        from .shard import ShardedGamma
 
-            engine = ShardedGamma(
-                graph,
-                num_shards=args.gpus,
-                policy=args.shard_policy,
-                interconnect=InterconnectSpec(kind=args.interconnect),
-                executor=args.executor,
-            )
-        else:
-            engine = SYSTEMS[args.system](graph)
-    trace = None
-    if args.breakdown or args.profile:
-        from .gpusim.trace import TraceRecorder
-
-        trace = TraceRecorder().attach(engine.platform)
-        if sharded and engine.executor_name == "process":
-            print("note: --breakdown/--profile trace the coordinator only "
-                  "under --executor process (shard platforms live in "
-                  "worker processes)", file=sys.stderr)
+        engine = ShardedGamma(
+            graph,
+            num_shards=args.gpus,
+            policy=args.shard_policy,
+            interconnect=InterconnectSpec(kind=args.interconnect),
+            executor=args.executor,
+        )
+    else:
+        engine = SYSTEMS[args.system](graph)
+    phases.append(("build-engine", time.perf_counter() - start))
     if args.fault_plan:
         from .resilience import load_plan
 
@@ -384,12 +383,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         if args.task in _PLANNABLE_TASKS:
             plan_cache = _open_plan_cache(args.plan_cache_dir)
+            start = time.perf_counter()
             try:
-                with timer.phase("plan"):
-                    plan_obj = _resolve_cli_plan(args, engine, plan_cache)
+                plan_obj = _resolve_cli_plan(args, engine, plan_cache)
             except (OSError, ValueError) as exc:
                 print(f"bad --plan {args.plan!r}: {exc}", file=sys.stderr)
                 return 2
+            phases.append(("plan", time.perf_counter() - start))
         if args.task == "sm":
             task_fn = lambda eng: match_pattern(  # noqa: E731
                 eng, sm_query(args.query),
@@ -415,22 +415,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
         resilient = bool(
             args.checkpoint_dir or args.resume or args.degradation
         )
-        with timer.phase("run-task"):
-            if resilient:
-                if not hasattr(engine, "run"):
-                    print(f"--checkpoint-dir/--resume/--degradation need "
-                          f"a GAMMA engine, not {args.system}",
-                          file=sys.stderr)
-                    return 2
-                result = engine.run(
-                    task_fn,
-                    checkpoint_dir=args.checkpoint_dir,
-                    resume=args.resume,
-                    policy=args.degradation,
-                    max_retries=args.max_retries,
-                )
-            else:
-                result = task_fn(engine)
+        if resilient and not hasattr(engine, "run"):
+            print(f"--checkpoint-dir/--resume/--degradation need "
+                  f"a GAMMA engine, not {args.system}", file=sys.stderr)
+            return 2
+        start = time.perf_counter()
+        if resilient:
+            result = engine.run(
+                task_fn,
+                checkpoint_dir=args.checkpoint_dir,
+                resume=args.resume,
+                policy=args.degradation,
+                max_retries=args.max_retries,
+            )
+        else:
+            result = task_fn(engine)
+        phases.append(("run-task", time.perf_counter() - start))
 
         if args.task == "sm":
             print(f"query q{args.query}: {result.embeddings} embeddings, "
@@ -487,14 +487,27 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
             print(f"shards: {args.gpus} ({args.shard_policy}, "
                   f"{args.interconnect}); utilization: {utils}")
-        if trace is not None and (args.breakdown or args.profile):
+        if args.breakdown or args.profile:
+            from .obs import render_buckets
+
+            if sharded:
+                # ``simulated_seconds`` is the makespan, the slowest shard's
+                # clock, so that shard's buckets sum to the printed total.
+                buckets = max(engine.shard_states(),
+                              key=lambda s: s["clock_total"])["clock_buckets"]
+            else:
+                buckets = engine.platform.clock.snapshot()
             print("\nwhere the time went:")
-            print(trace.render())
+            print(render_buckets(buckets))
         if args.profile:
             from . import perf
+            from .obs import render_bars
 
+            total = math.fsum(seconds for __, seconds in phases)
             print(f"\nwall-clock profile (pipeline: {perf.pipeline_mode()}):")
-            print(timer.render())
+            print(render_bars([(name, seconds, seconds / total)
+                               for name, seconds in phases]
+                              + [("total", total, 1.0)]))
         if collector is not None:
             _write_obs_outputs(args, engine, collector,
                                plan=plan_obj, plan_cache=plan_cache)
@@ -631,10 +644,25 @@ def _cmd_plan_explain(args: argparse.Namespace) -> int:
             plan_cache.close()
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+#: Schema prefixes of a bare run manifest (single-GPU and sharded).
+_MANIFEST_SCHEMAS = ("gamma-manifest/", "gamma-shard-manifest/")
+
+
+def _manifests_in(doc: dict) -> dict:
+    """Map (system, dataset, task) -> manifest for a bare manifest or a
+    bench report whose ``workloads[*].manifest`` entries each carry one."""
+    if str(doc.get("schema", "")).startswith(_MANIFEST_SCHEMAS):
+        found = [doc]
+    else:
+        found = [row["manifest"] for row in doc.get("workloads", [])
+                 if row.get("manifest")]
+    return {(m.get("system"), m.get("dataset"), m.get("task")): m
+            for m in found}
+
+
+def _print_manifest(manifest: dict) -> None:
     from . import obs
 
-    manifest = obs.load_manifest(args.manifest)
     print(f"system={manifest.get('system')} "
           f"dataset={manifest.get('dataset')} "
           f"task={manifest.get('task')} "
@@ -645,12 +673,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"simulated time: {sim * 1e3:.3f} ms")
     buckets = manifest.get("clock_buckets") or {}
     if buckets:
-        total = math.fsum(buckets.values()) or 1.0
-        rows = [(name, seconds, seconds / total)
-                for name, seconds in sorted(
-                    buckets.items(), key=lambda kv: -kv[1])]
         print("\nsimulated-time buckets:")
-        print(obs.render_bars(rows))
+        print(obs.render_buckets(buckets))
     counters = manifest.get("counters") or {}
     if counters:
         print("\ncounters:")
@@ -665,37 +689,79 @@ def _cmd_report(args: argparse.Namespace) -> int:
             stats = metrics[name]
             print(f"  {name.ljust(width)}  n={stats['count']} "
                   f"sum={stats['sum']:g} last={stats['last']:g}")
-    if args.against:
-        baseline = obs.load_manifest(args.against)
+
+
+def _cmd_report(args: argparse.Namespace) -> int:
+    """Summarize a manifest; with ``--against``, gate it on a baseline.
+
+    An empty or pre-telemetry baseline, or no manifest common to both
+    files, is ``EXIT_OK``: there is nothing to regress against.
+    Manifests on only one side are listed but never fail the gate.
+    """
+    from . import obs
+
+    cand = _manifests_in(obs.load_manifest(args.manifest))
+    if not cand:
+        print(f"{args.manifest}: no manifests found", file=sys.stderr)
+        return obs.EXIT_OK if args.warn_only else obs.EXIT_NO_CANDIDATE
+    for manifest in cand.values():
+        _print_manifest(manifest)
+    if not args.against:
+        return obs.EXIT_OK
+    base = _manifests_in(obs.load_manifest(args.against))
+    print(f"\ndiff against {args.against}:")
+    if not base:
+        print(f"{args.against}: no manifests found "
+              f"(pre-telemetry baseline?); nothing to gate")
+        return obs.EXIT_OK
+    regressions = 0
+    compared = 0
+    for key in sorted(base, key=str):
+        label = "/".join(str(k) for k in key)
+        if key not in cand:
+            print(f"[skip] {label}: only in baseline")
+            continue
+        compared += 1
         findings = obs.diff_manifests(
-            baseline, manifest,
+            base[key], cand[key],
             counter_threshold=args.counter_threshold,
             time_threshold=args.time_threshold,
         )
-        print(f"\ndiff against {args.against}:")
+        regressions += sum(1 for f in findings if f["regression"])
+        print(f"== {label} ==")
         print(obs.format_findings(findings))
-        if any(f.get("regression") for f in findings):
-            return 1
-    return 0
+    for key in sorted(set(cand) - set(base), key=str):
+        print(f"[skip] {'/'.join(str(k) for k in key)}: only in candidate")
+    if not compared:
+        print("no comparable manifests between the two files")
+        return obs.EXIT_OK
+    if regressions:
+        print(f"\n{regressions} regression(s) beyond thresholds",
+              file=sys.stderr)
+        return obs.EXIT_OK if args.warn_only else obs.EXIT_REGRESSIONS
+    print(f"\nOK: {compared} manifest(s) within thresholds")
+    return obs.EXIT_OK
 
 
 def _cmd_perf_report(args: argparse.Namespace) -> int:
     """Sentinel-gate the newest history record of each matching cell.
 
-    Exit codes mirror ``tools/obs_diff.py``'s contract: 0 clean (or
-    ``--warn-only``), 1 when a cell is flagged, 2 when there is no
-    history to gate (missing directory or no matching cell).
+    Exit codes are the same as ``repro report --against``: ``EXIT_OK``
+    clean (or ``--warn-only``), ``EXIT_REGRESSIONS`` when a cell is
+    flagged, ``EXIT_NO_CANDIDATE`` when there is no history to gate
+    (missing directory or no matching cell).
     """
     import json
     import pathlib
 
+    from . import obs
     from .obs.profile import (HistoryStore, SentinelConfig, check_run,
                               render_verdicts)
 
     root = pathlib.Path(args.history)
     if not (root / "history.jsonl").exists():
         print(f"{root}: no perf history found", file=sys.stderr)
-        return 0 if args.warn_only else 2
+        return obs.EXIT_OK if args.warn_only else obs.EXIT_NO_CANDIDATE
     config = SentinelConfig(window=args.window)
     verdicts = []
     with HistoryStore(root) as store:
@@ -707,7 +773,7 @@ def _cmd_perf_report(args: argparse.Namespace) -> int:
         ]
         if not cells:
             print("no matching history cells", file=sys.stderr)
-            return 0 if args.warn_only else 2
+            return obs.EXIT_OK if args.warn_only else obs.EXIT_NO_CANDIDATE
         for cell in cells:
             rows = store.window(cell["bench"], cell["workload"],
                                 arm=cell["arm"], limit=config.window + 1)
@@ -718,8 +784,8 @@ def _cmd_perf_report(args: argparse.Namespace) -> int:
             json.dumps(verdicts, indent=2, sort_keys=True) + "\n")
         print(f"verdicts written to {args.json_out}")
     if any(v["flagged"] for v in verdicts):
-        return 0 if args.warn_only else 1
-    return 0
+        return obs.EXIT_OK if args.warn_only else obs.EXIT_REGRESSIONS
+    return obs.EXIT_OK
 
 
 def _cmd_figure(name: str) -> int:

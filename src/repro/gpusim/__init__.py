@@ -34,7 +34,6 @@ from .regions import (
     units_for_indices,
 )
 from .spec import DEFAULT_COST, DEFAULT_SPEC, CostModel, DeviceSpec
-from .trace import PhaseTimer, TraceRecorder
 from .stats import Counters
 from .unified import PageBuffer, UnifiedRegion
 from .warp import WarpGrid, warp_ballot, warp_exclusive_scan
@@ -59,13 +58,11 @@ __all__ = [
     "expand_ranges",
     "range_lengths_in_units",
     "units_for_indices",
-    "PhaseTimer",
     "CostModel",
     "DeviceSpec",
     "DEFAULT_COST",
     "DEFAULT_SPEC",
     "Counters",
-    "TraceRecorder",
     "PageBuffer",
     "UnifiedRegion",
     "WarpGrid",

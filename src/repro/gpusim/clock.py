@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Callable, Dict, Iterator, List
+from typing import Dict, Iterator
 
 #: Canonical category names used across the simulator.
 COMPUTE = "compute"
@@ -52,26 +52,6 @@ class SimClock:
 
     def __init__(self) -> None:
         self._buckets: Dict[str, float] = defaultdict(float)
-        #: Callables ``(category, seconds)`` notified on every charge
-        #: (see :class:`repro.gpusim.trace.TraceRecorder`).  Fan-out: any
-        #: number of listeners may subscribe via :meth:`add_listener`.
-        #: The deprecated single-slot ``listener`` property shim was
-        #: removed; ``tests/gpusim/test_trace.py`` pins its absence.
-        self._listeners: List[Callable[[str, float], None]] = []
-
-    def add_listener(
-        self, fn: Callable[[str, float], None]
-    ) -> Callable[[str, float], None]:
-        """Subscribe ``fn`` to every charge; returns ``fn``."""
-        self._listeners.append(fn)
-        return fn
-
-    def remove_listener(self, fn: Callable[[str, float], None]) -> None:
-        """Unsubscribe ``fn`` (no-op when not subscribed)."""
-        try:
-            self._listeners.remove(fn)
-        except ValueError:
-            pass
 
     def advance(self, category: str, seconds: float) -> None:
         """Charge ``seconds`` of simulated time to ``category``."""
@@ -79,9 +59,6 @@ class SimClock:
             raise ValueError(f"cannot charge negative time: {seconds}")
         if seconds:
             self._buckets[category] += seconds
-            if self._listeners:
-                for fn in self._listeners:
-                    fn(category, seconds)
 
     @property
     def total(self) -> float:
@@ -112,8 +89,7 @@ class SimClock:
 
         Used by checkpoint resume: the engine is rebuilt (charging whatever
         construction costs), then the clock is restored to the exact state
-        the checkpoint recorded.  Listeners are *not* notified — restore is
-        bookkeeping, not simulated activity.
+        the checkpoint recorded.
         """
         self._buckets.clear()
         for category, seconds in buckets.items():

@@ -18,6 +18,7 @@ from .exporters import (
     chrome_trace_events,
     metrics_jsonl_lines,
     render_bars,
+    render_buckets,
     render_span_tree,
     span_tree_records,
     write_chrome_trace,
@@ -43,7 +44,23 @@ from .spans import (
     uninstall,
 )
 
+#: Exit codes of both regression gates, ``repro report --against`` (the
+#: manifest diff) and ``repro perf-report`` (the history sentinel).  CI
+#: asserts on them, so they are a contract:
+#:
+#: * ``EXIT_OK`` — within thresholds, nothing to gate (empty baseline, no
+#:   comparable manifests), or ``--warn-only`` whatever was found;
+#: * ``EXIT_REGRESSIONS`` — at least one regression beyond thresholds;
+#: * ``EXIT_NO_CANDIDATE`` — the candidate holds nothing to gate (a broken
+#:   run or a wrong path, distinct from "slower").
+EXIT_OK = 0
+EXIT_REGRESSIONS = 1
+EXIT_NO_CANDIDATE = 2
+
 __all__ = [
+    "EXIT_OK",
+    "EXIT_REGRESSIONS",
+    "EXIT_NO_CANDIDATE",
     "NULL_TELEMETRY",
     "NullTelemetry",
     "Span",
@@ -59,6 +76,7 @@ __all__ = [
     "metrics_jsonl_lines",
     "write_metrics_jsonl",
     "render_bars",
+    "render_buckets",
     "render_span_tree",
     "span_tree_records",
     "attach_query_tags",

@@ -9,10 +9,10 @@ Three consumers, one span tree:
   what the paper's figures are drawn in.
 * :func:`write_metrics_jsonl` streams every metric sample as one JSON
   object per line.
-* :func:`render_bars` is the ASCII bar layout that
-  :class:`repro.gpusim.trace.TraceRecorder` and ``PhaseTimer`` renderings
-  delegate to, and :func:`render_span_tree` is the span-tree flavour used
-  by ``repro report``.
+* :func:`render_bars` is the ASCII bar layout of ``repro run --profile``;
+  :func:`render_buckets` applies it to simulated-clock buckets for
+  ``repro run --breakdown`` and ``repro report``, and
+  :func:`render_span_tree` is the span-tree flavour.
 """
 
 from __future__ import annotations
@@ -72,6 +72,17 @@ def render_bars(rows: Sequence[Tuple[str, float, float]],
             f"{seconds * 1e3:10.3f} ms"
         )
     return "\n".join(lines)
+
+
+def render_buckets(buckets: Dict[str, float], width: int = 40) -> str:
+    """Bars for simulated-clock buckets (``SimClock.snapshot()`` or a
+    manifest's ``clock_buckets``), largest first, as shares of their
+    exactly-rounded sum."""
+    total = math.fsum(buckets.values()) or 1.0
+    rows = [(name, seconds, seconds / total)
+            for name, seconds in sorted(buckets.items(),
+                                        key=lambda kv: -kv[1])]
+    return render_bars(rows, width, empty="(no simulated time charged)")
 
 
 def render_span_tree(collector: SpanCollector, max_depth: "int | None" = None,

@@ -3,9 +3,9 @@
 A manifest captures the configuration (knobs, dataset, pipeline mode, git
 revision) next to the results (counter totals, simulated-time buckets, span
 statistics, metric aggregates, derived utilization figures), so two runs
-can be diffed mechanically.  ``tools/obs_diff.py`` and ``repro report
---against`` both call :func:`diff_manifests`; the bench harness embeds one
-manifest per workload in ``BENCH_hotpath.json``.
+can be diffed mechanically.  ``repro report --against`` gates on
+:func:`diff_manifests`; the bench harness embeds one manifest per workload
+in ``BENCH_hotpath.json``, and the gate accepts either shape.
 
 Simulated time and counters are deterministic for a fixed configuration,
 so any drift between two manifests of the same workload is a real

@@ -17,7 +17,8 @@ table points at the *deepest* responsible subtree, not at ``run``.  Runs
 without recorded span trees fall back to clock-bucket deltas.
 
 The machine-readable verdict (``gamma-perf-verdict/1``) is what CI
-consumes via ``tools/perf_sentinel.py`` / ``repro perf-report``.
+consumes via ``repro perf-report``; ``tools/perf_sentinel.py smoke``
+self-tests it.
 """
 
 from __future__ import annotations

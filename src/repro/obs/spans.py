@@ -186,7 +186,7 @@ class SpanCollector:
 
     Or bind explicitly when the platform already exists (tests)::
 
-        collector = SpanCollector().attach(platform)
+        collector = SpanCollector().bind(platform)
 
     Binding at platform construction matters: the root ``run`` span's entry
     snapshot is then the all-zero state, so its inclusive deltas equal the
@@ -213,9 +213,6 @@ class SpanCollector:
         if not self._stack:
             self._open("run", RUN, None, {})
         return self
-
-    #: Alias matching ``TraceRecorder.attach`` for symmetry in tests.
-    attach = bind
 
     def finish(self) -> "SpanCollector":
         """Close any open spans (root included) and poll gauges."""

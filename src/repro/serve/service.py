@@ -14,8 +14,9 @@ Endpoints (all JSON):
 * ``GET  /v1/query/<id>`` — status snapshot, records so far, billing.
 * ``POST /v1/shutdown`` — stop accepting work and exit ``serve_forever``.
 
-Admission failures map to 429, malformed specs to 400, unknown ids to
-404.  :class:`ServeClient` is the urllib-based client the CLI and the
+Admission failures map to 429, malformed specs and ``Content-Length``
+headers to 400, bodies over :data:`MAX_BODY_BYTES` to 413, unknown ids
+to 404.  :class:`ServeClient` is the urllib-based client the CLI and the
 load-generator benchmark share.
 """
 
@@ -33,6 +34,14 @@ from .query import QuerySpec
 from .scheduler import Scheduler
 
 __all__ = ["MiningService", "ServeClient"]
+
+#: Largest request body read.  A query spec is a few hundred bytes; the
+#: cap keeps a forged ``Content-Length`` from sizing the read buffer.
+MAX_BODY_BYTES = 1 << 20
+
+
+class _BodyTooLarge(Exception):
+    """The request declares a body over :data:`MAX_BODY_BYTES` (413)."""
 
 
 def _json_bytes(doc: Any) -> bytes:
@@ -64,7 +73,17 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # A negative length would read until EOF and hang the handler.
+            raise ExecutionError(f"bad Content-Length {header!r}")
+        if length > MAX_BODY_BYTES:
+            raise _BodyTooLarge(
+                f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
         raw = self.rfile.read(length) if length else b"{}"
         try:
             return json.loads(raw.decode("utf-8") or "{}")
@@ -124,6 +143,9 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             spec = QuerySpec.from_dict(self._read_body())
             state = self.scheduler.submit(spec)
+        except _BodyTooLarge as exc:
+            self._reply(413, {"error": str(exc)})
+            return
         except AdmissionError as exc:
             self._reply(429, {"error": str(exc), "tenant": exc.tenant})
             return

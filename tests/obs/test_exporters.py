@@ -17,7 +17,7 @@ def clean_default_slot():
 
 def _collected():
     platform = make_platform()
-    collector = obs.SpanCollector().attach(platform)
+    collector = obs.SpanCollector().bind(platform)
     with collector.span("phase-a"):
         platform.clock.advance(clk.COMPUTE, 1e-3)
         platform.counters.add("widgets", 5)

@@ -1,29 +1,23 @@
-"""Exit-code contract of the tools/obs_diff.py regression gate."""
+"""Exit-code contract of the manifest regression gate, ``repro report
+CANDIDATE --against BASELINE``."""
 
 import copy
 import json
-import os
-import pathlib
-import subprocess
-import sys
 
 import pytest
 
 from repro import obs
 from repro.algorithms import triangle_count
+from repro.cli import main
 from repro.core import Gamma
 from repro.graph import kronecker
 
-REPO_ROOT = pathlib.Path(__file__).parents[2]
-TOOL = REPO_ROOT / "tools" / "obs_diff.py"
 
-
-def _run_tool(*argv):
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    return subprocess.run(
-        [sys.executable, str(TOOL), *map(str, argv)],
-        capture_output=True, text=True, env=env,
-    )
+def _report(capsys, candidate, baseline, *flags):
+    code = main(["report", str(candidate), "--against", str(baseline),
+                 *flags])
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 @pytest.fixture(scope="module")
@@ -52,66 +46,71 @@ def _regressed_copy(manifest_path, target):
 
 
 class TestObsDiffTool:
-    def test_identical_manifests_exit_zero(self, manifest_path):
-        proc = _run_tool(manifest_path, manifest_path)
-        assert proc.returncode == 0, proc.stderr
-        assert "within thresholds" in proc.stdout
+    def test_identical_manifests_exit_zero(self, capsys, manifest_path):
+        code, out, err = _report(capsys, manifest_path, manifest_path)
+        assert code == obs.EXIT_OK, err
+        assert "within thresholds" in out
 
-    def test_injected_regression_exits_nonzero(self, manifest_path, tmp_path):
+    def test_injected_regression_exits_nonzero(self, capsys, manifest_path,
+                                               tmp_path):
         worse = _regressed_copy(manifest_path, tmp_path / "worse.json")
-        proc = _run_tool(manifest_path, worse)
-        assert proc.returncode == 1
-        assert "REGRESSION" in proc.stdout
-        assert "page_faults" in proc.stdout
+        code, out, __ = _report(capsys, worse, manifest_path)
+        assert code == obs.EXIT_REGRESSIONS
+        assert "REGRESSION" in out
+        assert "page_faults" in out
 
-    def test_warn_only_exits_zero(self, manifest_path, tmp_path):
+    def test_warn_only_exits_zero(self, capsys, manifest_path, tmp_path):
         worse = _regressed_copy(manifest_path, tmp_path / "worse.json")
-        proc = _run_tool(manifest_path, worse, "--warn-only")
-        assert proc.returncode == 0
+        code, out, __ = _report(capsys, worse, manifest_path, "--warn-only")
+        assert code == obs.EXIT_OK
+        assert "REGRESSION" in out
 
-    def test_bench_report_shape(self, manifest_path, tmp_path):
+    def test_bench_report_shape(self, capsys, manifest_path, tmp_path):
         manifest = json.loads(manifest_path.read_text())
         report = {"schema": 2, "workloads": [
             {"workload": "triangles", "manifest": manifest}]}
         report_path = tmp_path / "report.json"
         report_path.write_text(json.dumps(report))
-        proc = _run_tool(report_path, manifest_path)
-        assert proc.returncode == 0, proc.stderr
-        assert "GAMMA/K7/triangles" in proc.stdout
+        code, out, err = _report(capsys, manifest_path, report_path)
+        assert code == obs.EXIT_OK, err
+        assert "GAMMA/K7/triangles" in out
+        # ...and a bench report is accepted on the candidate side too.
+        code, out, err = _report(capsys, report_path, manifest_path)
+        assert code == obs.EXIT_OK, err
+        assert "GAMMA/K7/triangles" in out
 
-    def test_manifestless_baseline_is_skipped(self, manifest_path, tmp_path):
+    def test_manifestless_baseline_is_skipped(self, capsys, manifest_path,
+                                              tmp_path):
         legacy = tmp_path / "legacy.json"
         legacy.write_text(json.dumps({"schema": 1, "workloads": [
             {"workload": "triangles", "fast_seconds": 1.0}]}))
-        proc = _run_tool(legacy, manifest_path)
-        assert proc.returncode == 0
-        assert "nothing to gate" in proc.stdout
+        code, out, __ = _report(capsys, manifest_path, legacy)
+        assert code == obs.EXIT_OK
+        assert "nothing to gate" in out
 
-    def test_disjoint_workloads_compare_nothing(self, manifest_path, tmp_path):
+    def test_disjoint_workloads_compare_nothing(self, capsys, manifest_path,
+                                                tmp_path):
         manifest = json.loads(manifest_path.read_text())
         other = copy.deepcopy(manifest)
         other["dataset"] = "ZZ"
         other_path = tmp_path / "other.json"
         other_path.write_text(json.dumps(other))
-        proc = _run_tool(manifest_path, other_path)
-        assert proc.returncode == 0
-        assert "no comparable manifests" in proc.stdout
+        code, out, __ = _report(capsys, other_path, manifest_path)
+        assert code == obs.EXIT_OK
+        assert "no comparable manifests" in out
 
-    def test_manifestless_candidate_exits_two_strict(self, manifest_path,
+    def test_manifestless_candidate_exits_two_strict(self, capsys,
+                                                     manifest_path,
                                                      tmp_path):
         empty = tmp_path / "empty.json"
         empty.write_text("{}")
-        proc = _run_tool(manifest_path, empty)
-        assert proc.returncode == 2
+        code, __, err = _report(capsys, empty, manifest_path)
+        assert code == obs.EXIT_NO_CANDIDATE
+        assert "no manifests found" in err
         # ...but warn-only reports and succeeds (bedding-in mode).
-        proc = _run_tool(manifest_path, empty, "--warn-only")
-        assert proc.returncode == 0
+        code, __, __ = _report(capsys, empty, manifest_path, "--warn-only")
+        assert code == obs.EXIT_OK
 
     def test_named_exit_code_constants(self):
-        import importlib.util
-
-        spec = importlib.util.spec_from_file_location("obs_diff", TOOL)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        assert (module.EXIT_OK, module.EXIT_REGRESSIONS,
-                module.EXIT_NO_CANDIDATE) == (0, 1, 2)
+        assert (obs.EXIT_OK, obs.EXIT_REGRESSIONS,
+                obs.EXIT_NO_CANDIDATE) == (0, 1, 2)

@@ -26,7 +26,7 @@ def clean_default_slot():
 def _records():
     """A three-level tree: run > {setup, work > {kernel, kernel}}."""
     platform = make_platform()
-    collector = obs.SpanCollector().attach(platform)
+    collector = obs.SpanCollector().bind(platform)
     with collector.span("setup"):
         platform.clock.advance(clk.HOST_PREP, 1e-3)
     with collector.span("work"):

@@ -36,7 +36,7 @@ class TestNullTelemetry:
 class TestSpanCollector:
     def test_deltas_inclusive_and_self(self):
         platform = make_platform()
-        collector = obs.SpanCollector().attach(platform)
+        collector = obs.SpanCollector().bind(platform)
         with collector.span("phase-a"):
             platform.clock.advance(clk.COMPUTE, 1.0)
             platform.counters.add("widgets", 5)
@@ -56,19 +56,19 @@ class TestSpanCollector:
 
     def test_root_span_opens_on_bind(self):
         platform = make_platform()
-        collector = obs.SpanCollector().attach(platform)
+        collector = obs.SpanCollector().bind(platform)
         assert collector.root is not None
         assert collector.root.name == "run"
         assert collector.root.kind == "run"
 
     def test_bind_twice_raises(self):
-        collector = obs.SpanCollector().attach(make_platform())
+        collector = obs.SpanCollector().bind(make_platform())
         with pytest.raises(RuntimeError):
             collector.bind(make_platform())
 
     def test_finish_is_idempotent_and_detaches(self):
         platform = make_platform()
-        collector = obs.SpanCollector().attach(platform)
+        collector = obs.SpanCollector().bind(platform)
         collector.finish()
         collector.finish()
         assert platform.telemetry is NULL_TELEMETRY
@@ -76,7 +76,7 @@ class TestSpanCollector:
 
     def test_out_of_order_exit_is_tolerated(self):
         platform = make_platform()
-        collector = obs.SpanCollector().attach(platform)
+        collector = obs.SpanCollector().bind(platform)
         outer_cm = collector.span("outer")
         inner_cm = collector.span("inner")
         outer_cm.__enter__()
@@ -87,7 +87,7 @@ class TestSpanCollector:
         assert by_name["inner"].t1 <= by_name["outer"].t1
 
     def test_metric_tags_open_span(self):
-        collector = obs.SpanCollector().attach(make_platform())
+        collector = obs.SpanCollector().bind(make_platform())
         with collector.span("p") as span:
             collector.metric("extension.rows_out", 42, level=1)
         sample = collector.metrics.samples[-1]

@@ -115,8 +115,30 @@ class TestObservabilityFlags:
         out = capsys.readouterr().out
         assert "wall-clock profile" in out
         assert "where the time went" in out  # --profile implies the breakdown
-        for phase in ("load-dataset", "build-engine", "run-task", "total"):
-            assert phase in out
+        profile = out.split("wall-clock profile", 1)[1]
+        # Phases print in the order they ran, the total row last.
+        names = ["load-dataset", "build-engine", "run-task", "total"]
+        positions = [profile.index(name) for name in names]
+        assert positions == sorted(positions)
+
+    @pytest.mark.parametrize("extra", [
+        [],
+        ["--gpus", "2", "--executor", "serial"],
+        ["--gpus", "2", "--executor", "process"],
+    ], ids=["gpus1", "gpus2-serial", "gpus2-process"])
+    def test_breakdown_rows_sum_to_simulated_time(self, capsys, extra):
+        import re
+
+        assert main(["run", "--task", "kcl", "--k", "4", "--dataset", "EA",
+                     "--breakdown", *extra]) == 0
+        out = capsys.readouterr().out
+        total = float(re.search(r"simulated time: ([0-9.]+) ms", out)[1])
+        bars = out.split("where the time went:\n", 1)[1]
+        rows = [float(m[1]) for m in
+                re.finditer(r"%\s+([0-9.]+) ms$", bars, re.MULTILINE)]
+        assert rows
+        # Each figure is rounded to 0.001 ms; so is the printed total.
+        assert abs(sum(rows) - total) <= 0.0005 * (len(rows) + 1)
 
     def test_trace_out(self, capsys, tmp_path):
         import json

@@ -1,35 +1,17 @@
 #!/usr/bin/env python
-"""Perf regression sentinel: gate perf history, and the CI self-smoke.
-
-Two subcommands:
-
-``check``
-    Gate the newest record of each matching perf-history cell against its
-    baseline window (``repro.obs.profile.check_run``).  Thin wrapper over
-    ``repro perf-report`` so scripts can call either spelling; the exit
-    codes are the same contract as ``tools/obs_diff.py``:
-
-    ====  ==========  ================================================
-    code  mode        meaning
-    ====  ==========  ================================================
-    0     both        nothing flagged (or nothing to gate)
-    0     --warn-only regressions found but reported only
-    1     strict      at least one cell flagged as a regression
-    2     strict      no history / no matching cell
-    ====  ==========  ================================================
+"""Perf regression sentinel self-smoke (the CI perf-sentinel leg).
 
 ``smoke``
-    End-to-end self-test the CI perf-sentinel leg runs: execute a small
-    workload three times into a scratch history store, assert a fourth
-    identical run is NOT flagged, then inject a synthetic 1.3x slowdown
-    into one span subtree (``inject_slowdown``) and assert the sentinel
-    flags it *and* attributes it to that subtree.  Writes the verdicts
-    and the clean run's critical-path report under ``--out``.  Exit 0
-    when every assertion holds, 1 otherwise.
+    Execute a small workload three times into a scratch history store,
+    assert a fourth identical run is NOT flagged, then inject a synthetic
+    1.3x slowdown into one span subtree (``inject_slowdown``) and assert
+    the sentinel flags it *and* attributes it to that subtree.  Writes the
+    verdicts and the clean run's critical-path report under ``--out``.
+    Exit 0 when every assertion holds, 1 otherwise.
+
+Gating a real history is ``repro perf-report --history DIR``.
 
 Usage:
-    PYTHONPATH=src python tools/perf_sentinel.py check \
-        --history benchmarks/reports/history --warn-only
     PYTHONPATH=src python tools/perf_sentinel.py smoke --out reports/
 """
 
@@ -49,24 +31,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 SMOKE_FACTOR = 1.3
 #: Identical baseline runs recorded before the candidate is gated.
 SMOKE_BASELINE_RUNS = 3
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    """Delegate to ``repro perf-report`` (single implementation of the
-    gate; this entry point exists for tool-shaped CI invocations)."""
-    from repro.cli import main as repro_main
-
-    argv = ["perf-report", "--history", str(args.history),
-            "--window", str(args.window)]
-    for flag, value in (("--bench", args.bench),
-                        ("--workload", args.workload),
-                        ("--arm", args.arm),
-                        ("--json", args.json_out)):
-        if value is not None:
-            argv += [flag, str(value)]
-    if args.warn_only:
-        argv.append("--warn-only")
-    return repro_main(argv)
 
 
 def _smoke_run():
@@ -203,16 +167,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    chk = sub.add_parser("check", help="gate perf history (exit 0/1/2)")
-    chk.add_argument("--history", default="benchmarks/reports/history",
-                     metavar="DIR")
-    chk.add_argument("--bench")
-    chk.add_argument("--workload")
-    chk.add_argument("--arm")
-    chk.add_argument("--window", type=int, default=8)
-    chk.add_argument("--json", metavar="PATH", dest="json_out")
-    chk.add_argument("--warn-only", action="store_true")
-
     smk = sub.add_parser(
         "smoke", help="self-test: inject a 1.3x slowdown, assert flagged "
                       "and attributed")
@@ -220,8 +174,6 @@ def main(argv=None) -> int:
                      help="write verdicts + critical-path artifacts here")
 
     args = parser.parse_args(argv)
-    if args.command == "check":
-        return _cmd_check(args)
     return _cmd_smoke(args)
 
 
